@@ -81,6 +81,12 @@ impl MergeBitmap {
     }
 }
 
+/// Mask of the low `slots` bits (`slots ≤ 32`).
+#[inline(always)]
+fn slot_mask(slots: usize) -> u64 {
+    (1u64 << slots) - 1
+}
+
 impl MergeEncoding for MergeBitmap {
     fn for_width(width: usize) -> Self {
         MergeBitmap::new(width)
@@ -112,6 +118,20 @@ impl MergeEncoding for MergeBitmap {
     fn unmark_level(&mut self, idx: usize, level: u32) {
         debug_assert!(level >= 1);
         self.clear(Self::marker_position(idx, level));
+    }
+
+    #[inline(always)]
+    fn word_markers(&self, first: usize, slots: usize) -> u32 {
+        debug_assert!(slots <= 32 && first.is_multiple_of(slots));
+        ((self.words[first / 64] >> (first % 64)) & slot_mask(slots)) as u32
+    }
+
+    #[inline(always)]
+    fn set_word_markers(&mut self, first: usize, slots: usize, markers: u32) {
+        debug_assert!(slots <= 32 && first.is_multiple_of(slots));
+        let shift = first % 64;
+        let word = &mut self.words[first / 64];
+        *word = (*word & !(slot_mask(slots) << shift)) | (u64::from(markers) << shift);
     }
 
     fn overhead_bits(width: usize) -> usize {
@@ -192,6 +212,19 @@ mod tests {
         b.unmark_level(0, 2); // split back into ⟨0,1⟩ and ⟨2,3⟩
         assert_eq!(b.level_of(0, 3), 1);
         assert_eq!(b.level_of(2, 3), 1);
+    }
+
+    #[test]
+    fn word_markers_are_a_bit_slice() {
+        let mut b = MergeBitmap::new(128);
+        b.mark_merged(70, 2); // ⟨68..71⟩ sets bits 68, 69, 70
+        assert_eq!(b.word_markers(64, 8), 0b111_0000);
+        assert_eq!(b.word_markers(72, 8), 0);
+        b.set_word_markers(72, 8, 0b1);
+        assert_eq!(b.level_of(73, 3), 1);
+        b.set_word_markers(64, 8, 0);
+        assert_eq!(b.level_of(69, 3), 0);
+        assert_eq!(b.word_markers(72, 8), 0b1);
     }
 
     #[test]

@@ -82,6 +82,45 @@ impl LayoutCodes {
         Self::encode_rec(levels, n - 1, start) * radix
             + Self::encode_rec(levels, n - 1, start + (1 << (n - 1)))
     }
+
+    /// Decodes a block's layout code straight into the simple encoding's
+    /// marker bits (bit `p` set when the block with marker position `p` is
+    /// merged), the form the merge kernel works in.
+    fn markers_of_code(code: u32) -> u32 {
+        Self::markers_rec(code as u64, BLOCK_EXP, 0)
+    }
+
+    fn markers_rec(code: u64, n: u32, start: u32) -> u32 {
+        debug_assert!(code < LAYOUT_COUNTS[n as usize]);
+        if code == LAYOUT_COUNTS[n as usize] - 1 {
+            // A merged 2^n block carries every one of its 2^n − 1 markers.
+            return ((1u32 << ((1u32 << n) - 1)) - 1) << start;
+        }
+        if code == 0 {
+            return 0;
+        }
+        let radix = LAYOUT_COUNTS[(n - 1) as usize];
+        Self::markers_rec(code / radix, n - 1, start)
+            | Self::markers_rec(code % radix, n - 1, start + (1 << (n - 1)))
+    }
+
+    /// Encodes a block's consistent marker bits back into its layout code
+    /// (the inverse of [`LayoutCodes::markers_of_code`]).
+    fn code_of_markers(markers: u32) -> u32 {
+        Self::code_rec(markers, BLOCK_EXP, 0) as u32
+    }
+
+    fn code_rec(markers: u32, n: u32, start: u32) -> u64 {
+        if n == 0 {
+            return 0;
+        }
+        let half = 1u32 << (n - 1);
+        if (markers >> (start + half - 1)) & 1 == 1 {
+            return LAYOUT_COUNTS[n as usize] - 1;
+        }
+        let radix = LAYOUT_COUNTS[(n - 1) as usize];
+        Self::code_rec(markers, n - 1, start) * radix + Self::code_rec(markers, n - 1, start + half)
+    }
 }
 
 impl MergeEncoding for LayoutCodes {
@@ -143,6 +182,22 @@ impl MergeEncoding for LayoutCodes {
         self.codes[block] = Self::encode_block(&levels);
     }
 
+    fn word_markers(&self, first: usize, slots: usize) -> u32 {
+        debug_assert!(slots <= BLOCK && first.is_multiple_of(slots));
+        let markers = Self::markers_of_code(self.codes[first / BLOCK]);
+        ((u64::from(markers) >> (first % BLOCK)) & ((1u64 << slots) - 1)) as u32
+    }
+
+    fn set_word_markers(&mut self, first: usize, slots: usize, markers: u32) {
+        debug_assert!(slots <= BLOCK && first.is_multiple_of(slots));
+        let code = &mut self.codes[first / BLOCK];
+        let shift = first % BLOCK;
+        let mask = ((1u64 << slots) - 1) << shift;
+        let block = u64::from(Self::markers_of_code(*code));
+        let block = (block & !mask) | (u64::from(markers) << shift);
+        *code = Self::code_of_markers(block as u32);
+    }
+
     fn overhead_bits(width: usize) -> usize {
         width.div_ceil(BLOCK) * CODE_BITS
     }
@@ -194,6 +249,38 @@ mod tests {
         assert!(all_zero.iter().all(|&l| l == 0));
         let all_merged = LayoutCodes::decode_block((LAYOUT_COUNTS[5] - 1) as u32);
         assert!(all_merged.iter().all(|&l| l == 5));
+    }
+
+    #[test]
+    fn marker_form_matches_the_level_decode() {
+        use crate::bitmap::MergeBitmap;
+        for code in (0..LAYOUT_COUNTS[5] as u32)
+            .step_by(89)
+            .chain([LAYOUT_COUNTS[5] as u32 - 1])
+        {
+            let markers = LayoutCodes::markers_of_code(code);
+            assert_eq!(LayoutCodes::code_of_markers(markers), code);
+            let mut simple = MergeBitmap::for_width(BLOCK);
+            simple.set_word_markers(0, BLOCK, markers);
+            let levels = LayoutCodes::decode_block(code);
+            for (i, &level) in levels.iter().enumerate() {
+                assert_eq!(simple.level_of(i, BLOCK_EXP), level as u32, "code {code}");
+            }
+        }
+    }
+
+    #[test]
+    fn word_markers_round_trip_through_a_slice() {
+        let mut enc = LayoutCodes::for_width(64);
+        enc.mark_merged(40, 2); // slots 40..44 → local 8..12 of block 1
+        assert_eq!(enc.word_markers(32, 8), 0);
+        assert_eq!(enc.word_markers(40, 8), 0b111);
+        enc.set_word_markers(48, 8, 0b1);
+        assert_eq!(enc.level_of(48, 5), 1);
+        assert_eq!(enc.level_of(41, 5), 2);
+        enc.set_word_markers(40, 8, 0);
+        assert_eq!(enc.level_of(41, 5), 0);
+        assert_eq!(enc.word_markers(48, 8), 0b1);
     }
 
     #[test]

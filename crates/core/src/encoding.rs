@@ -34,6 +34,18 @@ pub trait MergeEncoding: Clone + std::fmt::Debug {
     /// downsampling).  `level ≥ 1`.
     fn unmark_level(&mut self, idx: usize, level: u32);
 
+    /// The merge markers of the `slots` base slots starting at `first`, in
+    /// the simple encoding's layout: bit `i` is set when the block whose
+    /// marker position is `first + i` is one merged counter (see
+    /// [`crate::bitmap`]).  `slots` is a power of two of at most 32 and
+    /// `first` a multiple of it; the merge kernel calls this with the slots
+    /// of one `u64` storage word.
+    fn word_markers(&self, first: usize, slots: usize) -> u32;
+
+    /// Overwrites the markers of the same slot range (see
+    /// [`MergeEncoding::word_markers`]) with a consistent layout.
+    fn set_word_markers(&mut self, first: usize, slots: usize, markers: u32);
+
     /// Encoding overhead, in bits, for a row of `width` base counters.
     fn overhead_bits(width: usize) -> usize;
 

@@ -43,13 +43,13 @@ pub type CompactSalsaRow = SalsaRow<LayoutCodes>;
 /// paper's implementation.
 #[derive(Debug, Clone)]
 pub struct SalsaRow<E: MergeEncoding = MergeBitmap> {
-    storage: BitStorage,
-    encoding: E,
-    width: usize,
-    base_bits: u32,
-    max_level: u32,
-    merge_op: MergeOp,
-    merge_events: u64,
+    pub(crate) storage: BitStorage,
+    pub(crate) encoding: E,
+    pub(crate) width: usize,
+    pub(crate) base_bits: u32,
+    pub(crate) max_level: u32,
+    pub(crate) merge_op: MergeOp,
+    pub(crate) merge_events: u64,
 }
 
 impl<E: MergeEncoding> SalsaRow<E> {
@@ -162,6 +162,10 @@ impl<E: MergeEncoding> SalsaRow<E> {
     /// Merges the counter containing `idx` with its sibling, producing a
     /// counter one level larger whose value combines every sub-counter in
     /// the enlarged block under the row's [`MergeOp`].
+    ///
+    /// Kept out of line: merges are rare next to additions, and inlined
+    /// into `add` this loop makes every addition slower.
+    #[inline(never)]
     fn merge_up(&mut self, idx: usize, level: u32) {
         let new_level = level + 1;
         debug_assert!(new_level <= self.max_level);
@@ -411,12 +415,12 @@ impl<E: MergeEncoding> Row for SalsaRow<E> {
 /// signed values (max-merge is not meaningful for signed noise).
 #[derive(Debug, Clone)]
 pub struct SalsaSignedRow<E: MergeEncoding = MergeBitmap> {
-    storage: BitStorage,
-    encoding: E,
-    width: usize,
-    base_bits: u32,
-    max_level: u32,
-    merge_events: u64,
+    pub(crate) storage: BitStorage,
+    pub(crate) encoding: E,
+    pub(crate) width: usize,
+    pub(crate) base_bits: u32,
+    pub(crate) max_level: u32,
+    pub(crate) merge_events: u64,
 }
 
 /// Sign-magnitude SALSA row with the simple encoding.
@@ -425,22 +429,23 @@ pub type SimpleSalsaSignedRow = SalsaSignedRow<MergeBitmap>;
 /// Sign-magnitude SALSA row with the compact encoding.
 pub type CompactSalsaSignedRow = SalsaSignedRow<LayoutCodes>;
 
+/// Packs `value` into a `bits`-wide sign-magnitude field, without branches.
 #[inline(always)]
-fn encode_sign_magnitude(value: i64, bits: u32) -> u64 {
-    let magnitude = value.unsigned_abs();
+pub(crate) fn encode_sign_magnitude(value: i64, bits: u32) -> u64 {
+    // `value >> 63` is all ones for a negative value, zero otherwise.
+    let negative = (value >> 63) as u64;
+    let magnitude = (value as u64 ^ negative).wrapping_sub(negative);
     debug_assert!(magnitude <= signed_magnitude_capacity(bits));
-    let sign = u64::from(value < 0) << (bits - 1);
-    sign | magnitude
+    magnitude | ((negative & 1) << (bits - 1))
 }
 
+/// Unpacks a `bits`-wide sign-magnitude field, without branches.
 #[inline(always)]
-fn decode_sign_magnitude(raw: u64, bits: u32) -> i64 {
+pub(crate) fn decode_sign_magnitude(raw: u64, bits: u32) -> i64 {
     let magnitude = (raw & signed_magnitude_capacity(bits)) as i64;
-    if raw >> (bits - 1) & 1 == 1 {
-        -magnitude
-    } else {
-        magnitude
-    }
+    // All ones when the sign bit is set: negate by flip-and-add-one.
+    let negative = -(((raw >> (bits - 1)) & 1) as i64);
+    (magnitude ^ negative) - negative
 }
 
 impl<E: MergeEncoding> SalsaSignedRow<E> {
@@ -521,6 +526,9 @@ impl<E: MergeEncoding> SalsaSignedRow<E> {
         );
     }
 
+    /// Merges the counter containing `idx` with its sibling, summing the
+    /// signed values; kept out of line like [`SalsaRow`]'s.
+    #[inline(never)]
     fn merge_up(&mut self, idx: usize, level: u32) {
         let new_level = level + 1;
         debug_assert!(new_level <= self.max_level);
@@ -928,14 +936,27 @@ mod tests {
 
     #[test]
     fn sign_magnitude_encoding_roundtrip() {
-        for bits in [8u32, 16, 32, 64] {
+        // Every 8-bit field: each value round-trips, and so does every raw
+        // pattern except negative zero, which no write ever produces.
+        let cap8 = signed_magnitude_capacity(8) as i64;
+        for v in -cap8..=cap8 {
+            let raw = encode_sign_magnitude(v, 8);
+            assert!(raw <= 0xFF, "{v} spills out of its field");
+            assert_eq!(decode_sign_magnitude(raw, 8), v);
+        }
+        for raw in (0u64..=0xFF).filter(|&raw| raw != 0x80) {
+            assert_eq!(encode_sign_magnitude(decode_sign_magnitude(raw, 8), 8), raw);
+        }
+        assert_eq!(decode_sign_magnitude(0x80, 8), 0);
+        for bits in [16u32, 32, 64] {
             let cap = signed_magnitude_capacity(bits) as i64;
-            for v in [0i64, 1, -1, 17, -17, cap, -cap] {
+            for v in [0i64, 1, -1, 17, -17, cap - 1, 1 - cap, cap, -cap] {
                 assert_eq!(
                     decode_sign_magnitude(encode_sign_magnitude(v, bits), bits),
                     v
                 );
             }
+            assert_eq!(encode_sign_magnitude(-cap, bits), u64::MAX >> (64 - bits));
         }
     }
 

@@ -14,11 +14,13 @@
 //!    from empty sketches as generation `g + 1`.
 //! 2. **Queries.**  A view is always `sealed ⊎ live`: sealed generations
 //!    merged with clones of the live shards via
-//!    [`SnapshotSummary::merge_into_new`].  For sum-merge rows the
-//!    counter-wise union over *any* split of the stream equals the
+//!    [`SnapshotSummary::merge_into_new`].  For unsigned sum-merge rows
+//!    the counter-wise union over *any* split of the stream equals the
 //!    unsharded sketch, so the merged view is byte-identical to a run that
 //!    never rescaled — no counts are lost or double-counted, regardless of
-//!    how many rescales happened mid-stream.
+//!    how many rescales happened mid-stream.  (Signed rows lose no counts
+//!    either, but a shard's partial sum can merge a counter the whole
+//!    stream would not, so their layout may differ.)
 //! 3. **Epochs.**  A view's epoch is `sealed items + live items applied`.
 //!    Sealing moves items from the live term to the sealed term without
 //!    shrinking the sum, so epochs stay monotone across rescales — an
@@ -335,8 +337,8 @@ impl<S: SnapshotSummary> ElasticPipeline<S> {
     ///    then retry against the new one,
     /// 3. atomically publishes the new generation to every handle.
     ///
-    /// Exactness is unaffected: for sum-merge rows the final merged view
-    /// is identical to a run that never rescaled.
+    /// Exactness is unaffected: for unsigned sum-merge rows the final
+    /// merged view is identical to a run that never rescaled.
     pub fn rescale(&mut self, target_shards: usize) -> Option<RescaleEvent> {
         let target = target_shards.max(1);
         if target == self.inner().shards() {
@@ -432,8 +434,9 @@ impl<S: SnapshotSummary> ElasticPipeline<S> {
     /// Takes a consistent snapshot of the whole stream — sealed generations
     /// folded with a clone of every live shard — without stopping
     /// ingestion.  The view sits exactly at epoch
-    /// [`ElasticPipeline::pushed`]; for sum-merge rows its estimates are
-    /// identical to an unsharded sketch over everything pushed so far.
+    /// [`ElasticPipeline::pushed`]; for unsigned sum-merge rows its
+    /// estimates are identical to an unsharded sketch over everything
+    /// pushed so far.
     #[must_use = "assembling a snapshot clones every shard's summary; dropping it wastes that work"]
     pub fn snapshot(&mut self) -> SnapshotView<S> {
         let view = self.inner_mut().snapshot();

@@ -22,14 +22,19 @@
 //!   whole stream.
 //! * [`Partition::ByKey`] routes every key to one shard via an independent
 //!   router hash, so each shard holds its keys' *entire* sub-stream.  With
-//!   sum-merge rows the merged view is then **identical** to the sketch a
-//!   single thread would have built — sharding is exact, not approximate.
+//!   unsigned sum-merge rows (Count-Min, conservative update) the merged
+//!   view is then **identical** to the sketch a single thread would have
+//!   built — sharding is exact, not approximate.  Signed rows (Count
+//!   Sketch) are the exception: a shard's partial sum can overflow a
+//!   counter, which then merges with its neighbour even where the whole
+//!   stream's sum would not, so the merged sketch may differ from the
+//!   unsharded one (`tests/pipeline_determinism.rs` pins an example).
 //! * [`Partition::RoundRobin`] (the "replicated" mode) deals items to
 //!   shards in turn, so every shard sees an arbitrary slice of the stream
 //!   and correctness comes entirely from the counter-wise union via
-//!   [`salsa_core::merge::RowMerge`].  Sum-merge rows again reproduce the
-//!   unsharded sketch exactly; max-merge rows give a never-underestimating
-//!   over-approximation (Theorem V.2).
+//!   [`salsa_core::merge::RowMerge`].  Unsigned sum-merge rows again
+//!   reproduce the unsharded sketch exactly; max-merge rows give a
+//!   never-underestimating over-approximation (Theorem V.2).
 //! * The pipeline serves queries **while the stream is still flowing**:
 //!   [`ShardedPipeline::snapshot`] assembles an epoch-stamped
 //!   [`SnapshotView`] by merging per-shard sketch clones, and
@@ -45,8 +50,8 @@
 //!   at monotone epochs, a [`policy::LoadMonitor`] sampling queue depth /
 //!   busy time / ingest rate into `salsa-metrics` gauges, and pluggable
 //!   [`policy::ScalingPolicy`] implementations deciding when to scale.
-//!   For sum-merge rows the merged view stays byte-identical to an
-//!   unsharded run no matter how many rescales happen mid-stream.
+//!   For unsigned sum-merge rows the merged view stays byte-identical to
+//!   an unsharded run no matter how many rescales happen mid-stream.
 //! * The pipeline is **fault-tolerant**: worker panics are caught and
 //!   published to a [`ShardHealth`] board instead of poisoning the
 //!   pipeline, queries degrade to the surviving shards (every
@@ -150,8 +155,10 @@ pub const DEFAULT_ROUTER_SEED: u64 = 0x5A15_A0DE_57A6_ED01;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Partition {
     /// Route each key to one shard via the router hash, so a key's entire
-    /// sub-stream lands on a single shard.  With sum-merge rows the merged
-    /// global view is byte-identical to the unsharded sketch.
+    /// sub-stream lands on a single shard.  With unsigned sum-merge rows
+    /// the merged global view is byte-identical to the unsharded sketch;
+    /// signed (Count Sketch) rows can differ, because a shard's partial
+    /// sum may overflow and merge a counter the whole stream would not.
     #[default]
     ByKey,
     /// Deal items to shards round-robin (the "replicated" mode): every

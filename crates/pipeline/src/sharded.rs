@@ -819,8 +819,8 @@ impl<S: SnapshotSummary> ShardedPipeline<S> {
     /// Because flushing dispatches everything pushed so far and each shard's
     /// channel is FIFO, the returned view sits at **epoch
     /// [`ShardedPipeline::pushed`]** while the pipeline is healthy: for
-    /// sum-merge rows its estimates are identical to an unsharded sketch
-    /// over exactly the items pushed so far.  With dead shards the view is
+    /// unsigned sum-merge rows its estimates are identical to an unsharded
+    /// sketch over exactly the items pushed so far.  With dead shards the view is
     /// degraded — it covers the survivors and its epoch counts only covered
     /// items; the gap is named in [`SnapshotView::coverage`].  Ingestion
     /// resumes (or rather, never stopped) after the call.

@@ -57,8 +57,11 @@ impl CoverageMeta {
 /// **Epoch semantics:** the epoch is the number of acknowledged updates the
 /// view reflects (the sum of the per-shard prefixes that were merged).  A
 /// view taken through [`ShardedPipeline::snapshot`] sits at epoch
-/// [`ShardedPipeline::pushed`]; for sum-merge rows its estimates then equal
-/// an unsharded sketch over exactly the first `epoch` pushed items.
+/// [`ShardedPipeline::pushed`]; for unsigned sum-merge rows its estimates
+/// then equal an unsharded sketch over exactly the first `epoch` pushed
+/// items.  Signed (Count Sketch) rows cover the same items but may differ
+/// from the unsharded sketch: a shard's partial sum can overflow and merge
+/// a counter that the whole stream's sum would not.
 /// Successive snapshots taken through one [`LiveHandle`] have monotonically
 /// non-decreasing epochs.
 ///

@@ -9,7 +9,11 @@
 //! rather than asserting it from code review: any `Vec` growth, `clone`,
 //! or box sneaking back into the serve/merge path fails the count.
 //!
-//! Both phases live in one `#[test]` on purpose — the allocation counter
+//! The merge phases cover both unsigned (Count-Min) and signed (Count
+//! Sketch) rows, whose merges run through different instances of the
+//! word-local merge kernel.
+//!
+//! All phases live in one `#[test]` on purpose — the allocation counter
 //! is process-global, so concurrently running test threads would pollute
 //! each other's windows.
 
@@ -72,6 +76,10 @@ const MERGES: usize = 64;
 
 fn cms() -> CountMin<SalsaRow> {
     CountMin::salsa(DEPTH, WIDTH, 8, MergeOp::Sum, SEED)
+}
+
+fn cs() -> CountSketch<SalsaSignedRow> {
+    CountSketch::salsa(DEPTH + 1, WIDTH, 8, SEED)
 }
 
 #[test]
@@ -147,6 +155,35 @@ fn steady_state_queries_and_merges_do_not_allocate() {
     );
 
     // The refreshed-and-merged sketch answers like a fresh full merge.
+    let mut reference = base.clone();
+    reference.merge_from(&other);
+    for &item in items.iter().take(64) {
+        assert_eq!(dst.estimate(item), reference.estimate(item));
+    }
+
+    // --- Phase 3: the same for signed (Count Sketch) rows. ---
+    let mut base = cs();
+    let mut other = cs();
+    for &item in left {
+        base.update(item, 1);
+    }
+    for &item in right {
+        other.update(item, 1);
+    }
+    let mut dst = base.clone();
+    dst.merge_with_helper(&other, &mut helper);
+
+    let before = allocations();
+    for _ in 0..MERGES {
+        dst.copy_from(&base);
+        dst.merge_with_helper(&other, &mut helper);
+    }
+    let merge_allocs = allocations() - before;
+    assert_eq!(
+        merge_allocs, 0,
+        "signed helper-based merges into a warm buffer must not touch the heap \
+         ({merge_allocs} allocations across {MERGES} merges)"
+    );
     let mut reference = base.clone();
     reference.merge_from(&other);
     for &item in items.iter().take(64) {

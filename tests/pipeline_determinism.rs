@@ -1,7 +1,9 @@
 //! Determinism of the sharded pipeline: with hash (by-key) partitioning and
-//! sum-merge rows, the merged global view must give **byte-identical**
-//! estimates to a single unsharded sketch of the same stream — sharding is
-//! a pure implementation detail, invisible to queries.
+//! unsigned sum-merge rows, the merged global view must give
+//! **byte-identical** estimates to a single unsharded sketch of the same
+//! stream — sharding is a pure implementation detail, invisible to queries.
+//! Signed (Count Sketch) rows are the exception, pinned by one
+//! counterexample at the end.
 //!
 //! This is the end-to-end counterpart of the sketch-level merge property
 //! tests in `salsa-sketches`: it goes through the real worker threads,
@@ -10,7 +12,9 @@
 //! encodings) CMS.
 
 use salsa_core::prelude::*;
-use salsa_pipeline::{run_sharded, FrequencyQueries, Partition, PipelineConfig, SnapshotSummary};
+use salsa_pipeline::{
+    run_sharded, FrequencyQueries, Partition, PipelineConfig, ShardedPipeline, SnapshotSummary,
+};
 use salsa_sketches::prelude::*;
 use salsa_workloads::TraceSpec;
 
@@ -101,4 +105,45 @@ fn round_robin_salsa_cms_matches_unsharded_exactly() {
         Partition::RoundRobin,
         "SALSA CMS (round-robin)",
     );
+}
+
+/// Signed rows are not byte-identical under sharding.  Two keys share a
+/// Count Sketch bucket with opposite signs and are routed to different
+/// shards.  Interleaved, the unsharded counter only ever holds 0 or ±1;
+/// each shard's counter alone reaches ±200, overflows its 8 bits and
+/// merges with its neighbour, so the merged sketch ends with a 16-bit
+/// counter there and the neighbour's count leaks into the keys' estimate.
+#[test]
+fn hash_partitioned_salsa_count_sketch_can_differ_from_unsharded() {
+    const WIDTH: usize = 64;
+    const SEED: u64 = 42;
+    let make = |_| CountSketch::salsa(1, WIDTH, 8, SEED);
+    let mut pipeline = ShardedPipeline::new(&PipelineConfig::new(2), make);
+    let (hashers, signs) = (RowHashers::new(1, WIDTH, SEED), SignHash::new(1, SEED));
+    let key = 0u64;
+    let bucket = hashers.bucket(0, key);
+    let partner = (1..)
+        .find(|&y| {
+            hashers.bucket(0, y) == bucket
+                && signs.sign(0, y) != signs.sign(0, key)
+                && pipeline.shard_of(y) != pipeline.shard_of(key)
+        })
+        .expect("some key shares the bucket with the opposite sign");
+    let neighbour = (1..)
+        .find(|&z| hashers.bucket(0, z) == bucket ^ 1)
+        .expect("some key hashes to the neighbouring bucket");
+    let items: Vec<u64> = (0..200)
+        .flat_map(|_| [key, partner])
+        .chain([neighbour])
+        .collect();
+    pipeline.extend(&items);
+    let merged = pipeline.finish().merged;
+    let single = unsharded(make(0), &items);
+
+    assert_eq!(single.rows()[0].level_of(bucket), 0);
+    assert_eq!(single.estimate(key), 0);
+    assert_eq!(merged.rows()[0].level_of(bucket), 1);
+    assert_eq!(merged.estimate(key).abs(), 1);
+    // Every count is still there: the neighbour's estimate is exact.
+    assert_eq!(merged.estimate(neighbour), single.estimate(neighbour));
 }
