@@ -1,7 +1,7 @@
 //! Non-frequency summaries through the sharded pipeline: throughput and
 //! accuracy of sharded **UnivMon** (universal statistics) and sharded
 //! **distinct counting**, the two end-to-end scenarios enabled by the
-//! `StreamSummary` redesign (this figure is ours, not the paper's — it
+//! `SnapshotSummary` contract (this figure is ours, not the paper's — it
 //! evaluates Section V's mergeability beyond frequency estimation).
 //!
 //! For each mode and shard count the binary streams a Zipf trace through
@@ -36,7 +36,7 @@ use std::collections::HashMap;
 use salsa_bench::*;
 use salsa_core::prelude::*;
 use salsa_metrics::{mops_for, Throughput};
-use salsa_pipeline::{run_sharded, PipelineConfig, StreamSummary};
+use salsa_pipeline::{run_sharded, PipelineConfig, SnapshotSummary};
 use salsa_sketches::prelude::*;
 use salsa_workloads::TraceSpec;
 

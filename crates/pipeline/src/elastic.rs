@@ -13,8 +13,8 @@
 //!    new shard count — and new by-key routing over that count — starts
 //!    from empty sketches as generation `g + 1`.
 //! 2. **Queries.**  A view is always `sealed ⊎ live`: sealed generations
-//!    merged with clones of the live shards via
-//!    [`SnapshotSummary::merge_into_new`].  For unsigned sum-merge rows
+//!    merged with copies of the live shards via
+//!    [`SnapshotSummary::merge_with_helper`].  For unsigned sum-merge rows
 //!    the counter-wise union over *any* split of the stream equals the
 //!    unsharded sketch, so the merged view is byte-identical to a run that
 //!    never rescaled — no counts are lost or double-counted, regardless of

@@ -7,8 +7,8 @@
 //! fold into a single queryable global view.  This crate turns that
 //! observation into an ingestion layer:
 //!
-//! * The transport is bound only to the minimal [`StreamSummary`] contract
-//!   (*ingest a batch, merge counter-wise*) — anything a summary can be
+//! * The transport is bound only to the one [`SnapshotSummary`] contract
+//!   (*ingest a batch, copy, merge counter-wise*) — anything a summary can be
 //!   **queried** for lives in capability traits ([`FrequencyQueries`],
 //!   [`DistinctQueries`], [`UniversalQueries`], [`TrackedQueries`]) that the
 //!   snapshot/handle types expose only when the summary supports them.  So
@@ -16,7 +16,7 @@
 //!   universal statistics, and pure distinct counters.
 //! * [`ShardedPipeline`] partitions an item stream across `N` worker shards
 //!   (each a `std::thread` owning its own summary), feeds each shard in
-//!   configurable batches through [`StreamSummary::ingest`], and on
+//!   configurable batches through [`SnapshotSummary::ingest`], and on
 //!   [`ShardedPipeline::finish`] merges the shard summaries into one
 //!   [`PipelineOutput`] whose `merged` summary answers queries for the
 //!   whole stream.
@@ -138,11 +138,8 @@ pub use salsa_sketches::helper::MergeHelper;
 pub use sharded::{run_sharded, PipelineOutput, ShardLoad, ShardStats, ShardedPipeline};
 pub use snapshot::{CoverageMeta, SnapshotView};
 pub use summary::{
-    DistinctQueries, FrequencyQueries, SnapshotSummary, StreamSummary, Tracked, TrackedQueries,
-    UniversalQueries,
+    DistinctQueries, FrequencyQueries, SnapshotSummary, Tracked, TrackedQueries, UniversalQueries,
 };
-#[allow(deprecated)] // re-exported for one release so old imports keep working
-pub use summary::{MergeableSketch, SnapshotableSketch};
 pub use supervisor::{Backoff, Recovery, RetryPolicy, ShardHealth, ShardState, SupervisorConfig};
 
 /// Default seed of the router hash.  It is fixed (and distinct from typical
@@ -259,23 +256,5 @@ impl PipelineConfig {
     pub fn router_seed(mut self, router_seed: u64) -> Self {
         self.router_seed = router_seed;
         self
-    }
-
-    /// Sets the shard count.
-    #[deprecated(note = "renamed to `PipelineConfig::shards`")]
-    pub fn with_shards(self, shards: usize) -> Self {
-        self.shards(shards)
-    }
-
-    /// Sets the batch size.
-    #[deprecated(note = "renamed to `PipelineConfig::batch_size`")]
-    pub fn with_batch_size(self, batch_size: usize) -> Self {
-        self.batch_size(batch_size)
-    }
-
-    /// Sets the partitioning mode.
-    #[deprecated(note = "renamed to `PipelineConfig::partition`")]
-    pub fn with_partition(self, partition: Partition) -> Self {
-        self.partition(partition)
     }
 }

@@ -6,8 +6,8 @@
 //! no synchronization beyond the bounded command channel.  Each worker drains
 //! a stream of commands:
 //!
-//! * `Ingest(batch)` — apply a batch through [`StreamSummary::ingest`](crate::StreamSummary::ingest) (the
-//!   hot path);
+//! * `Ingest(batch)` — apply a batch through [`SnapshotSummary::ingest`]
+//!   (the hot path);
 //! * `Snapshot { reply, recycled }` — copy the shard's summary *as of every
 //!   previously queued batch* (into the recycled buffer when one is
 //!   supplied, else a fresh clone) and send it back, so queries can run
@@ -420,7 +420,7 @@ impl<S: SnapshotSummary> ShardedPipeline<S> {
     /// `factory` is called once per shard (with the shard index) to build
     /// that shard's summary.  Every call **must** use the same seed and
     /// dimensions — the pipeline cannot check this generically, but
-    /// [`StreamSummary::merge_from`](crate::StreamSummary::merge_from) enforces it when
+    /// [`SnapshotSummary::merge_from`] enforces it when
     /// [`ShardedPipeline::finish`] folds the shards together.
     ///
     /// The pipeline is supervised under [`SupervisorConfig::default`]:
@@ -921,7 +921,7 @@ impl<S: SnapshotSummary> ShardedPipeline<S> {
     ///
     /// Panics if *every* worker died, or if the shard summaries were built
     /// with mismatched seeds/shapes (see
-    /// [`StreamSummary::merge_from`](crate::StreamSummary::merge_from)).
+    /// [`SnapshotSummary::merge_from`]).
     /// Use [`ShardedPipeline::try_finish`] to handle total failure as a
     /// typed error.
     pub fn finish(self) -> PipelineOutput<S> {
@@ -1270,18 +1270,6 @@ mod tests {
             ..PipelineConfig::new(1)
         };
         let _ = ShardedPipeline::new(&config, |_| CountMin::salsa(2, 64, 8, MergeOp::Sum, 1));
-    }
-
-    #[test]
-    #[allow(deprecated)] // pins the one-release compatibility wrappers
-    fn deprecated_with_setters_still_configure() {
-        let config = PipelineConfig::new(1)
-            .with_shards(3)
-            .with_batch_size(0)
-            .with_partition(Partition::RoundRobin);
-        assert_eq!(config.shards, 3);
-        assert_eq!(config.batch_size, 1, "clamping carries over");
-        assert_eq!(config.partition, Partition::RoundRobin);
     }
 
     #[test]

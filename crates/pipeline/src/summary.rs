@@ -2,8 +2,8 @@
 //!
 //! SALSA's counter-wise mergeability (Section V) is not specific to
 //! frequency estimation, so the transport layer — sharded workers, live
-//! snapshots, elastic resharding — is bound only to the minimal
-//! [`StreamSummary`] contract: *ingest a batch, merge counter-wise*.
+//! snapshots, elastic resharding — is bound only to the one
+//! [`SnapshotSummary`] contract: *ingest a batch, copy, merge counter-wise*.
 //! Everything a summary can be **asked** lives in small capability traits
 //! ([`FrequencyQueries`], [`DistinctQueries`], [`UniversalQueries`],
 //! [`TrackedQueries`]) that [`SnapshotView`](crate::SnapshotView) and the
@@ -12,11 +12,13 @@
 //! that lets UnivMon, distinct counting and heavy-hitter tracking ride the
 //! same machinery as the frequency sketches.
 //!
-//! | Pre-0.7 bound | Replacement |
-//! |---------------|-------------|
-//! | `MergeableSketch` | [`StreamSummary`] (+ [`FrequencyQueries`] if you query) |
-//! | `SnapshotableSketch` | [`SnapshotSummary`] (+ capability traits as needed) |
-//! | `FrequencyEstimator::batch_update` (worker hot path) | [`StreamSummary::ingest`] |
+//! | Method | Kind | Role |
+//! |--------|------|------|
+//! | [`SnapshotSummary::ingest`] | required | the worker shard's batch hot path |
+//! | [`SnapshotSummary::clone_cost_bytes`] | required | per-shard cost of one snapshot |
+//! | [`SnapshotSummary::copy_from`] | required | refresh a warm snapshot buffer in place |
+//! | [`SnapshotSummary::merge_with_helper`] | required | the one counter-wise merge |
+//! | [`SnapshotSummary::merge_from`] | provided | the same merge with a fresh, empty helper |
 
 use salsa_core::merge::RowMerge;
 use salsa_core::traits::{Row, SignedRow};
@@ -29,80 +31,62 @@ use salsa_sketches::heavy_hitters::TopK;
 use salsa_sketches::helper::MergeHelper;
 use salsa_sketches::univmon::UnivMon;
 
-/// A summary whose same-seed, same-shape instances can ingest item batches
-/// and be combined counter-wise into a summary of the union stream.
+/// A summary whose same-seed, same-shape instances can ingest item batches,
+/// be copied cheaply for a point-in-time snapshot, and be combined
+/// counter-wise into a summary of the union stream.
 ///
-/// This is the *entire* contract a type must satisfy to run sharded: it must
-/// be movable onto a worker thread (`Send + 'static`), consume batches of
-/// items, and merge at the summary level.  What the summary can be queried
+/// This is the entire contract a type must satisfy to run sharded and
+/// serve live queries: it must be movable onto a worker thread
+/// (`Send + 'static`), and cloning it must be cheap and bounded (a flat
+/// copy of its counter storage), so a shard worker can produce a copy on
+/// demand without stalling ingestion for longer than one memcpy.
+/// [`ShardedPipeline::snapshot`] and [`LiveHandle`] assemble views by
+/// copying each shard's summary and folding the copies counter-wise,
+/// leaving the live summaries untouched.  What the summary can be queried
 /// for afterwards is expressed separately through the capability traits
 /// ([`FrequencyQueries`], [`DistinctQueries`], [`UniversalQueries`], …).
-/// Implementations enforce the "same hash functions, same shape" merge
-/// precondition themselves and panic on mismatch.
-pub trait StreamSummary: Send + 'static {
+///
+/// Implementations enforce the "same hash functions, same shape" precondition
+/// of [`copy_from`](SnapshotSummary::copy_from) and
+/// [`merge_with_helper`](SnapshotSummary::merge_with_helper) themselves and
+/// panic on mismatch.
+///
+/// [`ShardedPipeline::snapshot`]: crate::ShardedPipeline::snapshot
+/// [`LiveHandle`]: crate::LiveHandle
+pub trait SnapshotSummary: Send + Clone + 'static {
     /// Processes a batch of unit-weight updates (`⟨item, 1⟩` per item) —
     /// the worker shard's hot path.  Implementations are expected to
     /// monomorphize the loop (row-major where update order allows) so a
     /// shard pays any dispatch cost once per batch, not once per item.
     fn ingest(&mut self, items: &[u64]);
 
-    /// Counter-wise merges `other` into `self`, so that `self` afterwards
-    /// summarizes the union of the two input streams.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the operands were built with different seeds or shapes.
-    fn merge_from(&mut self, other: &Self);
-}
-
-/// A [`StreamSummary`] that can additionally serve live queries: cloning it
-/// is cheap and bounded (a flat copy of its counter storage), so a shard
-/// worker can produce a point-in-time copy on demand without stalling
-/// ingestion for longer than one memcpy.
-///
-/// This is the contract behind [`ShardedPipeline::snapshot`] and
-/// [`LiveHandle`]: snapshots are assembled by cloning each shard's summary
-/// and folding the clones counter-wise, leaving the live summaries
-/// untouched.
-///
-/// [`ShardedPipeline::snapshot`]: crate::ShardedPipeline::snapshot
-/// [`LiveHandle`]: crate::LiveHandle
-pub trait SnapshotSummary: StreamSummary + Clone {
     /// Bytes copied per clone — the cost one snapshot imposes on each
     /// shard.  Implementations report their counter storage plus encoding
     /// metadata (see `Row::clone_cost_bytes` in `salsa-core`).
     fn clone_cost_bytes(&self) -> usize;
 
-    /// Counter-wise merges two summaries into a *new* one, leaving both
-    /// operands untouched — the one-shot snapshot-assembly primitive.  Same
-    /// seed/shape contract as [`StreamSummary::merge_from`].  Steady-state
-    /// paths should prefer [`SnapshotSummary::copy_from`] +
-    /// [`SnapshotSummary::merge_with_helper`], which reuse existing buffers.
-    fn merge_into_new(&self, other: &Self) -> Self {
-        // ALLOC-OK: one-shot entry point; steady-state callers reuse buffers
-        // via copy_from + merge_with_helper instead.
-        let mut merged = self.clone();
-        merged.merge_from(other);
-        merged
-    }
-
     /// Overwrites `self` with `src`'s contents, reusing `self`'s existing
-    /// backing storage where the implementation supports it — the
-    /// snapshot-refresh primitive.  Both operands must share seeds and
-    /// shapes (the same contract as [`StreamSummary::merge_from`]).
-    fn copy_from(&mut self, src: &Self) {
-        // ALLOC-OK: default fallback clones; summaries with flat counter
-        // storage override this with an in-place, allocation-free copy.
-        *self = src.clone();
-    }
+    /// backing storage — the snapshot-refresh primitive.  Both operands
+    /// must share seeds and shapes.
+    fn copy_from(&mut self, src: &Self);
 
-    /// Counter-wise merges `other` into `self`, drawing any scratch space
-    /// from `helper` instead of allocating.  Semantically identical to
-    /// [`StreamSummary::merge_from`] (same seed/shape contract); the default
-    /// simply delegates to it.
-    fn merge_with_helper(&mut self, other: &Self, helper: &mut MergeHelper) {
-        let _ = helper;
-        self.merge_from(other);
+    /// Counter-wise merges `other` into `self`, so that `self` afterwards
+    /// summarizes the union of the two input streams.  Any scratch space
+    /// comes from `helper` instead of a fresh allocation, so a warm helper
+    /// makes steady-state merges allocation-free.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the operands were built with different seeds or shapes.
+    fn merge_with_helper(&mut self, other: &Self, helper: &mut MergeHelper);
+
+    /// [`merge_with_helper`](SnapshotSummary::merge_with_helper) with a
+    /// fresh helper.  [`MergeHelper::new`] allocates nothing, so this is
+    /// allocation-free for the sum sketches; summaries that rebuild
+    /// auxiliary state (UnivMon, [`Tracked`]) grow the helper's scratch
+    /// once per call.
+    fn merge_from(&mut self, other: &Self) {
+        self.merge_with_helper(other, &mut MergeHelper::new());
     }
 }
 
@@ -153,55 +137,21 @@ pub trait TrackedQueries {
 }
 
 // ---------------------------------------------------------------------------
-// Frequency sketches: StreamSummary = batched updates + sketch-level merge.
+// Frequency sketches: batched updates + the sketch's own counter-wise merge.
 // (No blanket impl over `FrequencyEstimator` — coherence would forbid the
 // non-estimator impls below, and the explicit list keeps `ingest` on each
-// sketch's monomorphized batch loop.)
+// sketch's monomorphized batch loop.)  Their row merges need no scratch, so
+// the helper goes unused.
 // ---------------------------------------------------------------------------
-
-impl<R> StreamSummary for CountMin<R>
-where
-    R: Row + RowMerge + Send + 'static,
-{
-    fn ingest(&mut self, items: &[u64]) {
-        CountMin::update_batch(self, items);
-    }
-
-    fn merge_from(&mut self, other: &Self) {
-        CountMin::merge_from(self, other);
-    }
-}
-
-impl<R> StreamSummary for ConservativeUpdate<R>
-where
-    R: Row + RowMerge + Send + 'static,
-{
-    fn ingest(&mut self, items: &[u64]) {
-        ConservativeUpdate::update_batch(self, items);
-    }
-
-    fn merge_from(&mut self, other: &Self) {
-        ConservativeUpdate::merge_from(self, other);
-    }
-}
-
-impl<S> StreamSummary for CountSketch<S>
-where
-    S: SignedRow + RowMerge + Send + 'static,
-{
-    fn ingest(&mut self, items: &[u64]) {
-        CountSketch::update_batch(self, items);
-    }
-
-    fn merge_from(&mut self, other: &Self) {
-        CountSketch::merge_from(self, other);
-    }
-}
 
 impl<R> SnapshotSummary for CountMin<R>
 where
     R: Row + RowMerge + Clone + Send + 'static,
 {
+    fn ingest(&mut self, items: &[u64]) {
+        CountMin::update_batch(self, items);
+    }
+
     fn clone_cost_bytes(&self) -> usize {
         CountMin::clone_cost_bytes(self)
     }
@@ -210,8 +160,8 @@ where
         CountMin::copy_from(self, src);
     }
 
-    fn merge_with_helper(&mut self, other: &Self, helper: &mut MergeHelper) {
-        CountMin::merge_with_helper(self, other, helper);
+    fn merge_with_helper(&mut self, other: &Self, _helper: &mut MergeHelper) {
+        CountMin::merge_from(self, other);
     }
 }
 
@@ -219,6 +169,10 @@ impl<R> SnapshotSummary for ConservativeUpdate<R>
 where
     R: Row + RowMerge + Clone + Send + 'static,
 {
+    fn ingest(&mut self, items: &[u64]) {
+        ConservativeUpdate::update_batch(self, items);
+    }
+
     fn clone_cost_bytes(&self) -> usize {
         ConservativeUpdate::clone_cost_bytes(self)
     }
@@ -227,8 +181,8 @@ where
         ConservativeUpdate::copy_from(self, src);
     }
 
-    fn merge_with_helper(&mut self, other: &Self, helper: &mut MergeHelper) {
-        ConservativeUpdate::merge_with_helper(self, other, helper);
+    fn merge_with_helper(&mut self, other: &Self, _helper: &mut MergeHelper) {
+        ConservativeUpdate::merge_from(self, other);
     }
 }
 
@@ -236,6 +190,10 @@ impl<S> SnapshotSummary for CountSketch<S>
 where
     S: SignedRow + RowMerge + Clone + Send + 'static,
 {
+    fn ingest(&mut self, items: &[u64]) {
+        CountSketch::update_batch(self, items);
+    }
+
     fn clone_cost_bytes(&self) -> usize {
         CountSketch::clone_cost_bytes(self)
     }
@@ -244,8 +202,8 @@ where
         CountSketch::copy_from(self, src);
     }
 
-    fn merge_with_helper(&mut self, other: &Self, helper: &mut MergeHelper) {
-        CountSketch::merge_with_helper(self, other, helper);
+    fn merge_with_helper(&mut self, other: &Self, _helper: &mut MergeHelper) {
+        CountSketch::merge_from(self, other);
     }
 }
 
@@ -283,23 +241,14 @@ impl<R: Row> DistinctQueries for ConservativeUpdate<R> {
 // Non-frequency summaries: the point of the redesign.
 // ---------------------------------------------------------------------------
 
-impl<S> StreamSummary for UnivMon<S>
+impl<S> SnapshotSummary for UnivMon<S>
 where
-    S: SignedRow + RowMerge + Send + 'static,
+    S: SignedRow + RowMerge + Clone + Send + 'static,
 {
     fn ingest(&mut self, items: &[u64]) {
         UnivMon::batch_update(self, items);
     }
 
-    fn merge_from(&mut self, other: &Self) {
-        UnivMon::merge_from(self, other);
-    }
-}
-
-impl<S> SnapshotSummary for UnivMon<S>
-where
-    S: SignedRow + RowMerge + Clone + Send + 'static,
-{
     fn clone_cost_bytes(&self) -> usize {
         UnivMon::clone_cost_bytes(self)
     }
@@ -327,23 +276,14 @@ impl<S: SignedRow> UniversalQueries for UnivMon<S> {
     }
 }
 
-impl<R> StreamSummary for DistinctCounter<R>
+impl<R> SnapshotSummary for DistinctCounter<R>
 where
-    R: Row + RowMerge + Send + 'static,
+    R: Row + RowMerge + Clone + Send + 'static,
 {
     fn ingest(&mut self, items: &[u64]) {
         DistinctCounter::batch_update(self, items);
     }
 
-    fn merge_from(&mut self, other: &Self) {
-        DistinctCounter::merge_from(self, other);
-    }
-}
-
-impl<R> SnapshotSummary for DistinctCounter<R>
-where
-    R: Row + RowMerge + Clone + Send + 'static,
-{
     fn clone_cost_bytes(&self) -> usize {
         DistinctCounter::clone_cost_bytes(self)
     }
@@ -352,8 +292,8 @@ where
         DistinctCounter::copy_from(self, src);
     }
 
-    fn merge_with_helper(&mut self, other: &Self, helper: &mut MergeHelper) {
-        DistinctCounter::merge_with_helper(self, other, helper);
+    fn merge_with_helper(&mut self, other: &Self, _helper: &mut MergeHelper) {
+        DistinctCounter::merge_from(self, other);
     }
 }
 
@@ -408,9 +348,9 @@ impl<S> Tracked<S> {
     }
 }
 
-impl<S> StreamSummary for Tracked<S>
+impl<S> SnapshotSummary for Tracked<S>
 where
-    S: StreamSummary + FrequencyQueries,
+    S: SnapshotSummary + FrequencyQueries,
 {
     fn ingest(&mut self, items: &[u64]) {
         self.inner.ingest(items);
@@ -422,28 +362,6 @@ where
         }
     }
 
-    fn merge_from(&mut self, other: &Self) {
-        self.inner.merge_from(&other.inner);
-        let mut rebuilt = TopK::new(self.tracker.k());
-        for (item, _) in self
-            .tracker
-            .items()
-            .into_iter()
-            .chain(other.tracker.items())
-        {
-            let est = self.inner.estimate(item).max(0) as u64;
-            if est > 0 {
-                rebuilt.offer(item, est);
-            }
-        }
-        self.tracker = rebuilt;
-    }
-}
-
-impl<S> SnapshotSummary for Tracked<S>
-where
-    S: SnapshotSummary + FrequencyQueries,
-{
     fn clone_cost_bytes(&self) -> usize {
         self.inner.clone_cost_bytes() + self.tracker.clone_cost_bytes()
     }
@@ -455,10 +373,9 @@ where
 
     fn merge_with_helper(&mut self, other: &Self, helper: &mut MergeHelper) {
         self.inner.merge_with_helper(&other.inner, helper);
-        // Rebuild the tracker through the helper's pair buffer instead of a
-        // fresh TopK: union both trackers' items (same largest-first order
-        // as `merge_from`), re-estimate each against the merged summary,
-        // then re-offer the survivors.
+        // Rebuild the tracker through the helper's pair buffer: union both
+        // trackers' items (largest first), re-estimate each against the
+        // merged summary, then re-offer the survivors.
         helper.pairs.clear();
         self.tracker.copy_items_into(&mut helper.pairs);
         other.tracker.copy_items_into(&mut helper.pairs);
@@ -492,32 +409,12 @@ impl<S> TrackedQueries for Tracked<S> {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Pre-0.7 compatibility shims.
-// ---------------------------------------------------------------------------
-
-/// The pre-0.7 spelling of the sharded contract, kept for one release as a
-/// migration shim: every `StreamSummary + FrequencyQueries` satisfies it.
-#[deprecated(note = "split into `StreamSummary` + `FrequencyQueries`; bound on those instead")]
-pub trait MergeableSketch: StreamSummary + FrequencyQueries {}
-
-#[allow(deprecated)] // the shim must implement its own deprecated trait
-impl<T: StreamSummary + FrequencyQueries> MergeableSketch for T {}
-
-/// The pre-0.7 spelling of the snapshot contract, kept for one release as a
-/// migration shim: every `SnapshotSummary + FrequencyQueries` satisfies it.
-#[deprecated(note = "split into `SnapshotSummary` + `FrequencyQueries`; bound on those instead")]
-pub trait SnapshotableSketch: SnapshotSummary + FrequencyQueries {}
-
-#[allow(deprecated)] // the shim must implement its own deprecated trait
-impl<T: SnapshotSummary + FrequencyQueries> SnapshotableSketch for T {}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use salsa_core::prelude::MergeOp;
 
-    fn summary_ingest<S: StreamSummary>(summary: &mut S, items: &[u64]) {
+    fn summary_ingest<S: SnapshotSummary>(summary: &mut S, items: &[u64]) {
         summary.ingest(items);
     }
 
@@ -581,7 +478,12 @@ mod tests {
         let mut helped_rhs = make();
         helped.ingest(a);
         helped_rhs.ingest(b);
+        // A helper left dirty by an unrelated merge must not leak into the
+        // next one.
         let mut helper = MergeHelper::new();
+        let mut unrelated = make();
+        unrelated.ingest(&[1_000, 1_001, 1_001]);
+        unrelated.clone().merge_with_helper(&unrelated, &mut helper);
         helped.merge_with_helper(&helped_rhs, &mut helper);
 
         assert_eq!(plain.tracked().items(), helped.tracked().items());
@@ -604,7 +506,7 @@ mod tests {
     #[test]
     fn distinct_counter_is_a_stream_summary_without_frequency_queries() {
         // Compile-time proof that the transport bound does not require
-        // FrequencyQueries: DistinctCounter implements StreamSummary only.
+        // FrequencyQueries: DistinctCounter implements SnapshotSummary only.
         let mut counter = DistinctCounter::new(CountMin::salsa(4, 1 << 12, 8, MergeOp::Sum, 5));
         summary_ingest(&mut counter, &[1, 2, 3, 2, 1]);
         assert!(counter.estimate_distinct().is_some());

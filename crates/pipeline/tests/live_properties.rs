@@ -105,18 +105,21 @@ proptest! {
         a in prop::collection::vec(0u64..UNIVERSE, 1..200),
         b in prop::collection::vec(0u64..UNIVERSE, 1..200),
     ) {
-        // The SnapshotSummary assembly primitive: merging two prefix
-        // sketches into a new one equals sketching the concatenation, and
+        // The snapshot-assembly primitive: merging a clone of one prefix
+        // sketch with another equals sketching the concatenation, and
         // leaves the operands untouched.
         let sa = unsharded(&a);
         let sb = unsharded(&b);
-        let merged = SnapshotSummary::merge_into_new(&sa, &sb);
+        let mut merged = sa.clone();
+        SnapshotSummary::merge_from(&mut merged, &sb);
         let concat: Vec<u64> = a.iter().chain(b.iter()).copied().collect();
         let direct = unsharded(&concat);
         let sa_untouched = unsharded(&a);
+        let sb_untouched = unsharded(&b);
         for item in 0..UNIVERSE {
             prop_assert_eq!(merged.estimate(item), direct.estimate(item));
             prop_assert_eq!(sa.estimate(item), sa_untouched.estimate(item));
+            prop_assert_eq!(sb.estimate(item), sb_untouched.estimate(item));
         }
         prop_assert!(SnapshotSummary::clone_cost_bytes(&sa) >= sa.size_bytes());
     }

@@ -1,7 +1,7 @@
 //! Property-based tests of [`UnivMon`]'s summary-level merge: for *any*
 //! split of a stream into consecutive segments, ingesting the segments into
 //! independent same-seed sketches and folding them with
-//! [`StreamSummary::merge_from`] must preserve the g-sum-class estimates
+//! [`SnapshotSummary::merge_from`] must preserve the g-sum-class estimates
 //! (entropy, distinct, F2) of the single sketch that saw the whole stream.
 //!
 //! The per-level Count Sketches merge *exactly* (counter-wise sum), but each
@@ -13,7 +13,7 @@
 //! for sum-merge CMS.
 
 use proptest::prelude::*;
-use salsa_pipeline::StreamSummary;
+use salsa_pipeline::SnapshotSummary;
 use salsa_sketches::prelude::*;
 
 const UNIVERSE: u64 = 400;
@@ -50,7 +50,7 @@ proptest! {
             let mut part = make_sketch();
             part.ingest(&items[window[0]..window[1]]);
             match merged.as_mut() {
-                Some(acc) => StreamSummary::merge_from(acc, &part),
+                Some(acc) => SnapshotSummary::merge_from(acc, &part),
                 None => merged = Some(part),
             }
         }

@@ -20,7 +20,6 @@ use salsa_core::traits::{MergeOp, Row};
 use salsa_hash::RowHashers;
 
 use crate::estimator::FrequencyEstimator;
-use crate::helper::MergeHelper;
 
 /// A Count-Min Sketch over an arbitrary row type.
 #[derive(Debug, Clone)]
@@ -140,12 +139,18 @@ impl<R: Row> CountMin<R> {
     /// the buffer-reusing counterpart of `Clone`, used to refresh a warm
     /// snapshot buffer in place.  Both sketches must share seed and shape.
     pub fn copy_from(&mut self, src: &Self) {
-        assert_eq!(self.seed, src.seed, "sketches must share hash seeds");
-        assert_eq!(self.depth(), src.depth(), "sketch depths must match");
-        assert_eq!(self.width(), src.width(), "sketch widths must match");
+        self.assert_compatible(src);
         for (dst, src_row) in self.rows.iter_mut().zip(src.rows.iter()) {
             dst.copy_from(src_row);
         }
+    }
+
+    /// The contract every counter-wise operation between two sketches
+    /// relies on: the same hash functions (seed) over the same shape.
+    fn assert_compatible(&self, other: &Self) {
+        assert_eq!(self.seed, other.seed, "sketches must share hash seeds");
+        assert_eq!(self.depth(), other.depth(), "sketch depths must match");
+        assert_eq!(self.width(), other.width(), "sketch widths must match");
     }
 }
 
@@ -161,70 +166,32 @@ impl<R: Row + Clone> CountMin<R> {
 }
 
 impl<R: Row + RowMerge> CountMin<R> {
-    /// Absorbs another sketch built with the same seed and dimensions,
-    /// producing the sketch of the union stream (`s(A ∪ B) = s(A) + s(B)`).
-    pub fn absorb(&mut self, other: &Self) {
-        assert_eq!(self.depth(), other.depth(), "sketch depths must match");
-        for (a, b) in self.rows.iter_mut().zip(other.rows.iter()) {
-            a.absorb(b);
-        }
-    }
-
     /// Counter-wise merges `other` into `self` (Section V): afterwards this
-    /// sketch summarizes the union of the two input streams.
+    /// sketch summarizes the union of the two input streams
+    /// (`s(A ∪ B) = s(A) + s(B)`).
     ///
-    /// Unlike [`CountMin::absorb`], which only checks depths, this enforces
-    /// the full contract the paper's merge results rely on — the operands
-    /// must have been built with the *same hash functions* over the *same
-    /// shape* — by asserting equal seeds, depths and widths.  The sharded
-    /// pipeline uses this to fold per-shard sketches into the global view.
+    /// The operands must have been built with the *same hash functions*
+    /// over the *same shape*, which the paper's merge results rely on; this
+    /// asserts equal seeds, depths and widths.  The sharded pipeline uses
+    /// this to fold per-shard sketches into the global view.
     ///
     /// With sum-merge rows the merged sketch's estimates are identical to
     /// the sketch of the concatenated stream; with max-merge rows they are a
     /// (never-underestimating) over-approximation.
     pub fn merge_from(&mut self, other: &Self) {
-        assert_eq!(
-            self.seed, other.seed,
-            "sketches must share hash seeds to merge"
-        );
-        assert_eq!(self.depth(), other.depth(), "sketch depths must match");
-        assert_eq!(self.width(), other.width(), "sketch widths must match");
+        self.assert_compatible(other);
         for (a, b) in self.rows.iter_mut().zip(other.rows.iter()) {
             a.absorb(b);
         }
     }
 
-    /// Counter-wise merges two sketches into a *new* one, leaving both
-    /// operands untouched: `merge_into_new(a, b) = s(A ∪ B)`.  Same
-    /// seed/shape contract as [`CountMin::merge_from`].  This is the
-    /// snapshot-assembly primitive of the live-query pipeline, which merges
-    /// per-shard sketch clones without mutating shard state.
-    pub fn merge_into_new(&self, other: &Self) -> Self
-    where
-        R: Clone,
-    {
-        // ALLOC-OK: this is the *allocating* entry point, kept as a thin
-        // wrapper around the allocation-free merge for one-shot callers.
-        let mut merged = self.clone();
-        merged.merge_from(other);
-        merged
-    }
-
-    /// Counter-wise merges `other` into `self`, reusing the scratch space of
-    /// `helper` so the merge allocates nothing.  CMS row merges are already
-    /// allocation-free, so the helper is unused here; it exists so every
-    /// sketch exposes the same helper-threaded merge entry point.
-    #[inline]
-    pub fn merge_with_helper(&mut self, other: &Self, _helper: &mut MergeHelper) {
-        self.merge_from(other);
-    }
-
-    /// Subtracts another sketch built with the same seed and dimensions.
+    /// Subtracts another sketch built with the same seed and dimensions
+    /// (same contract as [`CountMin::merge_from`]).
     ///
     /// Valid in the Strict Turnstile model when the subtracted stream is a
     /// subset of this one (`B ⊆ A`), as discussed in Section V.
     pub fn subtract(&mut self, other: &Self) {
-        assert_eq!(self.depth(), other.depth(), "sketch depths must match");
+        self.assert_compatible(other);
         for (a, b) in self.rows.iter_mut().zip(other.rows.iter()) {
             a.subtract(b);
         }
@@ -454,9 +421,9 @@ mod tests {
             sb.update(item, 5);
             sab.update(item, 5);
         }
-        sa.absorb(&sb);
+        sa.merge_from(&sb);
         for item in (0u64..500).step_by(7) {
-            // The absorbed sketch over-estimates the union stream but is
+            // The merged sketch over-estimates the union stream but is
             // never below the directly-built union sketch's lower bound
             // (the true union frequency).
             let direct = sab.estimate(item);
@@ -515,17 +482,20 @@ mod tests {
         let seed = 29;
         let mut sa = CountMin::salsa(3, 128, 8, MergeOp::Sum, seed);
         let mut sb = CountMin::salsa(3, 128, 8, MergeOp::Sum, seed);
+        let mut concat = CountMin::salsa(3, 128, 8, MergeOp::Sum, seed);
         for item in 0u64..200 {
             sa.update(item, 2);
             sb.update(item + 100, 3);
+            concat.update(item, 2);
+            concat.update(item + 100, 3);
         }
         let before_a: Vec<u64> = (0..300).map(|i| sa.estimate(i)).collect();
         let before_b: Vec<u64> = (0..300).map(|i| sb.estimate(i)).collect();
-        let merged = sa.merge_into_new(&sb);
-        let mut reference = sa.clone();
-        reference.merge_from(&sb);
+        // A merge into a fresh sketch is a clone plus an in-place merge.
+        let mut merged = sa.clone();
+        merged.merge_from(&sb);
         for item in 0u64..300 {
-            assert_eq!(merged.estimate(item), reference.estimate(item));
+            assert_eq!(merged.estimate(item), concat.estimate(item));
             assert_eq!(sa.estimate(item), before_a[item as usize]);
             assert_eq!(sb.estimate(item), before_b[item as usize]);
         }
@@ -546,6 +516,14 @@ mod tests {
         let mut sa = CountMin::salsa(3, 128, 8, MergeOp::Sum, 1);
         let sb = CountMin::salsa(3, 128, 8, MergeOp::Sum, 2);
         sa.merge_from(&sb);
+    }
+
+    #[test]
+    #[should_panic(expected = "share hash seeds")]
+    fn subtract_rejects_different_seeds() {
+        let mut sa = CountMin::salsa(3, 128, 8, MergeOp::Sum, 1);
+        let sb = CountMin::salsa(3, 128, 8, MergeOp::Sum, 2);
+        sa.subtract(&sb);
     }
 
     #[test]

@@ -20,7 +20,6 @@ use salsa_core::traits::SignedRow;
 use salsa_hash::{RowHashers, SignHash};
 
 use crate::estimator::FrequencyEstimator;
-use crate::helper::MergeHelper;
 
 /// Rows up to this depth take the stack-buffer median path in
 /// [`CountSketch::estimate`]; deeper sketches (unheard of in practice — the
@@ -160,12 +159,19 @@ impl<S: SignedRow> CountSketch<S> {
     ///
     /// [`CountMin::copy_from`]: crate::cms::CountMin::copy_from
     pub fn copy_from(&mut self, src: &Self) {
-        assert_eq!(self.seed, src.seed, "sketches must share hash seeds");
-        assert_eq!(self.depth(), src.depth(), "sketch depths must match");
-        assert_eq!(self.width(), src.width(), "sketch widths must match");
+        self.assert_compatible(src);
         for (dst, src_row) in self.rows.iter_mut().zip(src.rows.iter()) {
             dst.copy_from(src_row);
         }
+    }
+
+    /// The contract every counter-wise operation between two sketches
+    /// relies on: the same hash and sign functions (seed) over the same
+    /// shape.
+    fn assert_compatible(&self, other: &Self) {
+        assert_eq!(self.seed, other.seed, "sketches must share hash seeds");
+        assert_eq!(self.depth(), other.depth(), "sketch depths must match");
+        assert_eq!(self.width(), other.width(), "sketch widths must match");
     }
 }
 
@@ -179,20 +185,11 @@ impl<S: SignedRow + Clone> CountSketch<S> {
 }
 
 impl<S: SignedRow + RowMerge> CountSketch<S> {
-    /// Absorbs another sketch built with the same seed and dimensions:
-    /// `s(A ∪ B) = s(A) + s(B)`.
-    pub fn absorb(&mut self, other: &Self) {
-        assert_eq!(self.depth(), other.depth(), "sketch depths must match");
-        for (a, b) in self.rows.iter_mut().zip(other.rows.iter()) {
-            a.absorb(b);
-        }
-    }
-
     /// Subtracts another sketch built with the same seed and dimensions:
     /// `s(A \ B) = s(A) − s(B)` (general Turnstile difference, used by
-    /// change detection).
+    /// change detection; same contract as [`CountSketch::merge_from`]).
     pub fn subtract(&mut self, other: &Self) {
-        assert_eq!(self.depth(), other.depth(), "sketch depths must match");
+        self.assert_compatible(other);
         for (a, b) in self.rows.iter_mut().zip(other.rows.iter()) {
             a.subtract(b);
         }
@@ -200,42 +197,16 @@ impl<S: SignedRow + RowMerge> CountSketch<S> {
 
     /// Counter-wise merges `other` into `self` (same seeds and shape
     /// enforced): afterwards this sketch summarizes the union of the two
-    /// input streams.
+    /// input streams, `s(A ∪ B) = s(A) + s(B)`.
     ///
     /// Count Sketch counters are plain signed sums, so the merged sketch's
     /// per-row values equal those of a sketch fed both streams; the SALSA
     /// variant keeps the estimate unbiased across the merge (Lemma V.4).
     pub fn merge_from(&mut self, other: &Self) {
-        assert_eq!(
-            self.seed, other.seed,
-            "sketches must share hash seeds to merge"
-        );
-        assert_eq!(self.depth(), other.depth(), "sketch depths must match");
-        assert_eq!(self.width(), other.width(), "sketch widths must match");
+        self.assert_compatible(other);
         for (a, b) in self.rows.iter_mut().zip(other.rows.iter()) {
             a.absorb(b);
         }
-    }
-
-    /// Counter-wise merges two sketches into a *new* one, leaving both
-    /// operands untouched (same contract as [`CountSketch::merge_from`]).
-    pub fn merge_into_new(&self, other: &Self) -> Self
-    where
-        S: Clone,
-    {
-        // ALLOC-OK: the allocating one-shot entry point, kept as a thin
-        // wrapper over the allocation-free merge.
-        let mut merged = self.clone();
-        merged.merge_from(other);
-        merged
-    }
-
-    /// Counter-wise merges `other` into `self`, reusing `helper`'s scratch.
-    /// CS row merges are already allocation-free, so the helper is unused;
-    /// the method exists for API uniformity across sketches.
-    #[inline]
-    pub fn merge_with_helper(&mut self, other: &Self, _helper: &mut MergeHelper) {
-        self.merge_from(other);
     }
 }
 
@@ -438,7 +409,7 @@ mod tests {
             sa.update(5, 1);
             sb.update(5, 2);
         }
-        sa.absorb(&sb);
+        sa.merge_from(&sb);
         assert_eq!(sa.estimate(5), 90);
     }
 
@@ -507,6 +478,14 @@ mod tests {
         let mut sa = CountSketch::salsa(3, 128, 8, 1);
         let sb = CountSketch::salsa(3, 128, 8, 2);
         sa.merge_from(&sb);
+    }
+
+    #[test]
+    #[should_panic(expected = "share hash seeds")]
+    fn subtract_rejects_different_seeds() {
+        let mut sa = CountSketch::salsa(3, 128, 8, 1);
+        let sb = CountSketch::salsa(3, 128, 8, 2);
+        sa.subtract(&sb);
     }
 
     #[test]

@@ -15,7 +15,6 @@ use salsa_core::traits::{MergeOp, Row};
 use salsa_hash::RowHashers;
 
 use crate::estimator::FrequencyEstimator;
-use crate::helper::MergeHelper;
 
 /// A Conservative Update Sketch over an arbitrary row type.
 #[derive(Debug, Clone)]
@@ -122,12 +121,18 @@ impl<R: Row> ConservativeUpdate<R> {
     ///
     /// [`CountMin::copy_from`]: crate::cms::CountMin::copy_from
     pub fn copy_from(&mut self, src: &Self) {
-        assert_eq!(self.seed, src.seed, "sketches must share hash seeds");
-        assert_eq!(self.depth(), src.depth(), "sketch depths must match");
-        assert_eq!(self.width(), src.width(), "sketch widths must match");
+        self.assert_compatible(src);
         for (dst, src_row) in self.rows.iter_mut().zip(src.rows.iter()) {
             dst.copy_from(src_row);
         }
+    }
+
+    /// The contract every counter-wise operation between two sketches
+    /// relies on: the same hash functions (seed) over the same shape.
+    fn assert_compatible(&self, other: &Self) {
+        assert_eq!(self.seed, other.seed, "sketches must share hash seeds");
+        assert_eq!(self.depth(), other.depth(), "sketch depths must match");
+        assert_eq!(self.width(), other.width(), "sketch widths must match");
     }
 }
 
@@ -157,37 +162,10 @@ impl<R: Row + RowMerge> ConservativeUpdate<R> {
     /// than single-sketch CUS estimates, while staying upper-bounded by the
     /// merged CMS with the same configuration.
     pub fn merge_from(&mut self, other: &Self) {
-        assert_eq!(
-            self.seed, other.seed,
-            "sketches must share hash seeds to merge"
-        );
-        assert_eq!(self.depth(), other.depth(), "sketch depths must match");
-        assert_eq!(self.width(), other.width(), "sketch widths must match");
+        self.assert_compatible(other);
         for (a, b) in self.rows.iter_mut().zip(other.rows.iter()) {
             a.absorb(b);
         }
-    }
-
-    /// Counter-wise merges two sketches into a *new* one, leaving both
-    /// operands untouched (same contract and caveats as
-    /// [`ConservativeUpdate::merge_from`]).
-    pub fn merge_into_new(&self, other: &Self) -> Self
-    where
-        R: Clone,
-    {
-        // ALLOC-OK: the allocating one-shot entry point, kept as a thin
-        // wrapper over the allocation-free merge.
-        let mut merged = self.clone();
-        merged.merge_from(other);
-        merged
-    }
-
-    /// Counter-wise merges `other` into `self`, reusing `helper`'s scratch.
-    /// CUS row merges are already allocation-free, so the helper is unused;
-    /// the method exists for API uniformity across sketches.
-    #[inline]
-    pub fn merge_with_helper(&mut self, other: &Self, _helper: &mut MergeHelper) {
-        self.merge_from(other);
     }
 }
 

@@ -133,14 +133,6 @@ impl<R: Row + RowMerge> DistinctCounter<R> {
     pub fn merge_from(&mut self, other: &Self) {
         self.cms.merge_from(&other.cms);
     }
-
-    /// Counter-wise merges `other` into `self`, reusing `helper`'s scratch
-    /// (already allocation-free for row merges; see
-    /// [`CountMin::merge_with_helper`]).
-    #[inline]
-    pub fn merge_with_helper(&mut self, other: &Self, helper: &mut crate::helper::MergeHelper) {
-        self.cms.merge_with_helper(&other.cms, helper);
-    }
 }
 
 #[cfg(test)]

@@ -26,19 +26,6 @@ impl MergeHelper {
     pub fn new() -> Self {
         Self::default()
     }
-
-    /// Creates a helper whose pair buffer can hold `capacity` entries
-    /// without reallocating (e.g. `2 × k` for a top-k merge).
-    pub fn with_capacity(capacity: usize) -> Self {
-        Self {
-            pairs: Vec::with_capacity(capacity),
-        }
-    }
-
-    /// Current capacity of the pair buffer (diagnostics / tests).
-    pub fn pair_capacity(&self) -> usize {
-        self.pairs.capacity()
-    }
 }
 
 #[cfg(test)]
@@ -49,16 +36,10 @@ mod tests {
     fn helper_retains_capacity_across_uses() {
         let mut helper = MergeHelper::new();
         helper.pairs.extend((0..100).map(|i| (i, i)));
-        let cap = helper.pair_capacity();
+        let cap = helper.pairs.capacity();
         helper.pairs.clear();
-        assert_eq!(helper.pair_capacity(), cap);
+        assert_eq!(helper.pairs.capacity(), cap);
         helper.pairs.extend((0..100).map(|i| (i, i)));
-        assert_eq!(helper.pair_capacity(), cap);
-    }
-
-    #[test]
-    fn with_capacity_preallocates() {
-        let helper = MergeHelper::with_capacity(64);
-        assert!(helper.pair_capacity() >= 64);
+        assert_eq!(helper.pairs.capacity(), cap);
     }
 }

@@ -255,19 +255,6 @@ impl<S: SignedRow + RowMerge> UnivMon<S> {
             }
         }
     }
-
-    /// Counter-wise merges two sketches into a *new* one, leaving both
-    /// operands untouched (same contract as [`UnivMon::merge_from`]).
-    pub fn merge_into_new(&self, other: &Self) -> Self
-    where
-        S: Clone,
-    {
-        // ALLOC-OK: the allocating one-shot entry point, kept as a thin
-        // wrapper over the helper-threaded merge.
-        let mut merged = self.clone();
-        merged.merge_from(other);
-        merged
-    }
 }
 
 impl UnivMon<FixedSignedRow> {
@@ -490,7 +477,9 @@ mod tests {
         let mut b = UnivMon::baseline(6, 4, 512, 32, 20, 5);
         a.update(1, 10);
         b.update(2, 20);
-        let merged = a.merge_into_new(&b);
+        // A merge into a fresh sketch is a clone plus an in-place merge.
+        let mut merged = a.clone();
+        merged.merge_from(&b);
         assert_eq!(merged.total(), 30);
         assert_eq!(a.total(), 10);
         assert_eq!(b.total(), 20);

@@ -1,10 +1,10 @@
-//! Property-based equivalence of the allocation-free merge entry points.
+//! Property-based equivalence of the allocation-free merge paths.
 //!
-//! The zero-allocation hot path (PR 9) introduced `copy_from` (refresh a
-//! warm buffer in place) and `merge_with_helper` (merge reusing a
-//! [`MergeHelper`] scratch arena).  These must be *semantically invisible*
-//! next to the allocating `merge_into_new` wrapper: over arbitrary stream
-//! splits, merging with a reused helper into a `copy_from`-refreshed
+//! Steady-state snapshot assembly refreshes a warm buffer in place with
+//! `copy_from` and merges into it, UnivMon drawing its heap-rebuild scratch
+//! from a reused [`MergeHelper`] via `merge_with_helper`.  These must be
+//! *semantically invisible* next to a plain `clone()` + `merge_from`: over
+//! arbitrary stream splits, merging into a `copy_from`-refreshed
 //! destination — even one previously polluted by an unrelated stream —
 //! gives byte-identical estimates for CMS (sum and max), CUS and Count
 //! Sketch.  UnivMon's merge rebuilds its per-level heavy-hitter trackers,
@@ -34,7 +34,6 @@ proptest! {
     fn cms_helper_merge_matches_merge_into_new(
         a in stream(), b in stream(), junk in stream(), seed in 0u64..500
     ) {
-        let mut helper = MergeHelper::new();
         for op in [MergeOp::Sum, MergeOp::Max] {
             let mut sa = CountMin::<SalsaRow>::salsa(3, 64, 8, op, seed);
             let mut sb = CountMin::<SalsaRow>::salsa(3, 64, 8, op, seed);
@@ -50,9 +49,10 @@ proptest! {
             for &(item, weight) in &junk {
                 dst.update(item, weight);
             }
-            let reference = sa.merge_into_new(&sb);
+            let mut reference = sa.clone();
+            reference.merge_from(&sb);
             dst.copy_from(&sa);
-            dst.merge_with_helper(&sb, &mut helper);
+            dst.merge_from(&sb);
             for item in 0..200u64 {
                 prop_assert_eq!(dst.estimate(item), reference.estimate(item), "item {}", item);
             }
@@ -75,10 +75,10 @@ proptest! {
         for &(item, weight) in &junk {
             dst.update(item, weight);
         }
-        let reference = sa.merge_into_new(&sb);
-        let mut helper = MergeHelper::new();
+        let mut reference = sa.clone();
+        reference.merge_from(&sb);
         dst.copy_from(&sa);
-        dst.merge_with_helper(&sb, &mut helper);
+        dst.merge_from(&sb);
         for item in 0..200u64 {
             prop_assert_eq!(dst.estimate(item), reference.estimate(item), "item {}", item);
         }
@@ -103,10 +103,10 @@ proptest! {
         for &item in &junk {
             dst.update(item, 1);
         }
-        let reference = sa.merge_into_new(&sb);
-        let mut helper = MergeHelper::new();
+        let mut reference = sa.clone();
+        reference.merge_from(&sb);
         dst.copy_from(&sa);
-        dst.merge_with_helper(&sb, &mut helper);
+        dst.merge_from(&sb);
         for item in 0..200u64 {
             prop_assert_eq!(dst.estimate(item), reference.estimate(item), "item {}", item);
         }
@@ -126,9 +126,13 @@ proptest! {
         for &item in &b {
             sb.update(item, 1);
         }
-        let reference = sa.merge_into_new(&sb);
-        let mut dst = sa.clone();
+        let mut reference = sa.clone();
+        reference.merge_from(&sb);
+        // Warm the helper on an unrelated merge first, so the merge under
+        // test reuses a dirty scratch buffer.
         let mut helper = MergeHelper::new();
+        sa.clone().merge_with_helper(&sa, &mut helper);
+        let mut dst = sa.clone();
         dst.merge_with_helper(&sb, &mut helper);
         // The helper path rebuilds the per-level trackers in the same
         // largest-first order as merge_from, so the recursive G-sum

@@ -6,8 +6,8 @@
 //! cargo run --release -p salsa-examples --example sharded_univmon
 //! ```
 //!
-//! The pipeline is bound only to the `StreamSummary` contract (*ingest a
-//! batch, merge counter-wise*), so UnivMon rides the same worker shards,
+//! The pipeline is bound only to the `SnapshotSummary` contract (*ingest a
+//! batch, copy, merge counter-wise*), so UnivMon rides the same worker shards,
 //! snapshots, and merges as CMS/CUS/CS.  The demo streams a Zipf trace
 //! through 4 UnivMon shards, takes a live mid-stream snapshot and prints
 //! its entropy/F2/distinct estimates against exact values, then compares
@@ -15,7 +15,7 @@
 
 use std::collections::HashMap;
 
-use salsa_pipeline::{PipelineConfig, ShardedPipeline, StreamSummary};
+use salsa_pipeline::{PipelineConfig, ShardedPipeline, SnapshotSummary};
 use salsa_sketches::prelude::*;
 use salsa_workloads::TraceSpec;
 

@@ -3,9 +3,9 @@
 //! The zero-allocation contract (see README "Hot path & allocation
 //! discipline"): once a live pipeline's snapshot arena and a merge
 //! helper's scratch are warm, point queries served through
-//! [`CachedSnapshots`](salsa_pipeline::CachedSnapshots) and helper-based
-//! shard merges into a refreshed destination buffer touch the heap **zero
-//! times**.  This test proves it with a counting `#[global_allocator]`
+//! [`CachedSnapshots`](salsa_pipeline::CachedSnapshots), helper-based
+//! shard merges into a refreshed destination buffer, and the helper-less
+//! `SnapshotSummary::merge_from` fold touch the heap **zero times**.  This test proves it with a counting `#[global_allocator]`
 //! rather than asserting it from code review: any `Vec` growth, `clone`,
 //! or box sneaking back into the serve/merge path fails the count.
 //!
@@ -22,7 +22,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
 use salsa_core::traits::MergeOp;
-use salsa_pipeline::{CachePolicy, MergeHelper, PipelineConfig, ShardedPipeline};
+use salsa_pipeline::{CachePolicy, MergeHelper, PipelineConfig, ShardedPipeline, SnapshotSummary};
 use salsa_sketches::prelude::*;
 use salsa_workloads::TraceSpec;
 
@@ -154,9 +154,17 @@ fn steady_state_queries_and_merges_do_not_allocate() {
          ({merge_allocs} allocations across {MERGES} merges)"
     );
 
-    // The refreshed-and-merged sketch answers like a fresh full merge.
+    // The refreshed-and-merged sketch answers like a fresh full merge.  The
+    // trait's helper-less `merge_from` (the fold `ShardedPipeline::finish`
+    // runs) must not touch the heap either.
     let mut reference = base.clone();
-    reference.merge_from(&other);
+    let before = allocations();
+    SnapshotSummary::merge_from(&mut reference, &other);
+    let fold_allocs = allocations() - before;
+    assert_eq!(
+        fold_allocs, 0,
+        "merge_from must not touch the heap ({fold_allocs} allocations)"
+    );
     for &item in items.iter().take(64) {
         assert_eq!(dst.estimate(item), reference.estimate(item));
     }
@@ -185,7 +193,13 @@ fn steady_state_queries_and_merges_do_not_allocate() {
          ({merge_allocs} allocations across {MERGES} merges)"
     );
     let mut reference = base.clone();
-    reference.merge_from(&other);
+    let before = allocations();
+    SnapshotSummary::merge_from(&mut reference, &other);
+    let fold_allocs = allocations() - before;
+    assert_eq!(
+        fold_allocs, 0,
+        "signed merge_from must not touch the heap ({fold_allocs} allocations)"
+    );
     for &item in items.iter().take(64) {
         assert_eq!(dst.estimate(item), reference.estimate(item));
     }

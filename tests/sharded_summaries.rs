@@ -1,5 +1,5 @@
 //! End-to-end runs of **non-frequency** summaries through the sharded
-//! pipeline — the acceptance tests of the `StreamSummary` redesign.
+//! pipeline — the acceptance tests of the `SnapshotSummary` contract.
 //!
 //! Two scenarios:
 //!
@@ -22,7 +22,7 @@ use std::collections::HashMap;
 
 use salsa_core::prelude::*;
 use salsa_pipeline::{
-    run_sharded, ElasticPipeline, Partition, PipelineConfig, ShardedPipeline, StreamSummary,
+    run_sharded, ElasticPipeline, Partition, PipelineConfig, ShardedPipeline, SnapshotSummary,
     Tracked,
 };
 use salsa_sketches::prelude::*;
